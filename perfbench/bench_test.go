@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -159,6 +160,30 @@ func TestDetDiffIsBitExact(t *testing.T) {
 	}
 	if d := detDiff(a, map[string]float64{"x": p + q}); len(d) != 1 {
 		t.Errorf("missing key: %v", d)
+	}
+}
+
+// TestCalibration checks that a calibration slice allocates nothing (so it
+// cannot shift the program's garbage collection), that a rep's first
+// timed piece is followed by a slice, and that later slices wait for
+// calEvery of timed work.
+func TestCalibration(t *testing.T) {
+	c := newCalibrator()
+	if n := testing.AllocsPerRun(3, func() { c.slice() }); n != 0 {
+		t.Errorf("a calibration slice allocates %v times", n)
+	}
+	c.reset()
+	if c.scale() != 1 {
+		t.Errorf("scale with no slice = %v, want 1", c.scale())
+	}
+	c.after(time.Millisecond)
+	c.after(calEvery - time.Millisecond)
+	if len(c.slices) != 1 {
+		t.Errorf("%d slices after the first piece and less than calEvery more, want 1", len(c.slices))
+	}
+	c.after(time.Millisecond)
+	if len(c.slices) != 2 || !(c.scale() > 0) {
+		t.Errorf("%d slices after calEvery more, want 2; scale %v", len(c.slices), c.scale())
 	}
 }
 

@@ -30,6 +30,8 @@ const (
 	// clusterHeavyWindow is the heavy rung's longer window: its p99 is an
 	// end-to-end metric, and needs enough samples to repeat across seeds.
 	clusterHeavyWindow = 400 * sim.Millisecond
+	// clusterSlice is how often the bench clock on a rung's kernel wakes.
+	clusterSlice = 20 * sim.Millisecond
 	// sloAttain is the share of offered requests that must finish within
 	// the SLO for a rung to count as sustained; shed requests are misses.
 	sloAttain = 0.99
@@ -93,18 +95,34 @@ func runCluster(r *rep, seed int64) {
 		reg := metrics.NewRegistry()
 		store := kvwal.DefaultConfig()
 		store.Metrics = reg
-		// The first dispatch of the cluster's kernel ends its set-up: stack,
-		// filesystems and shard daemons are built by then. The marker is a
-		// handler proc, so it adds one event and no goroutine.
-		var built time.Time
+		// A clock on the cluster's kernel wakes every clusterSlice of
+		// simulated time until the offered window ends. Its first wake-up,
+		// the kernel's first dispatch, ends the cluster's set-up (stack,
+		// filesystems and shard daemons are built by then); each wake-up
+		// accounts the host time since the last as timed work and may run
+		// an untimed calibration slice. The clock is a handler proc that
+		// touches nothing else, so it adds a few events and no goroutine.
+		var start, resume time.Time
+		stop := sim.Time(clusterWarmup + rungWindow(rate))
 		cfg := kvcluster.Config{
 			Shards: clusterShards, VNodes: clusterVNodes, Mode: kvcluster.MQStreams,
 			Profile: core.BFSMQ, SLO: clusterSLO, Metrics: reg, Store: store,
 			NewKernel: func(string) *sim.Kernel {
 				k := sim.NewKernel()
-				k.SpawnHandler("bench/built", func(h *sim.Proc) {
-					built = time.Now()
-					h.Complete()
+				k.SpawnHandler("bench/clock", func(h *sim.Proc) {
+					now := time.Now()
+					if resume.IsZero() {
+						r.addSetup(now.Sub(start))
+					} else {
+						r.addTimed(now.Sub(resume))
+						r.calibrate(now.Sub(resume))
+					}
+					resume = time.Now()
+					if next := h.Now().Add(clusterSlice); next < stop {
+						h.WakeAt(next)
+					} else {
+						h.Complete()
+					}
 				})
 				return k
 			},
@@ -119,15 +137,13 @@ func runCluster(r *rep, seed int64) {
 			Warmup:   clusterWarmup, Duration: rungWindow(rate),
 		}
 		var res kvcluster.Result
-		start := time.Now()
+		start = time.Now()
 		r.tr.span("kvcluster.Run", func() { res = kvcluster.Run(cfg, tr) })
-		end := time.Now()
-		if built.IsZero() {
+		if resume.IsZero() {
 			r.problem("rate %d: the cluster kernel never dispatched", rate)
-			built = start
+			resume = start
 		}
-		r.addSetup(built.Sub(start))
-		r.addTimed(end.Sub(built))
+		r.addTimed(time.Since(resume))
 
 		// Output checks: exact admission accounting, and every admitted
 		// request completed (none lost in the drain).

@@ -29,6 +29,10 @@ const (
 	// kvWarmup runs the clients before statistics start, so the memtable
 	// and WAL ring are in their steady cycle when measuring begins.
 	kvWarmup = 10 * sim.Millisecond
+	// kvSlice is the simulated time of one timed k.RunUntil step: short
+	// enough that calibration slices between steps sample the machine's
+	// speed all through the timed phase.
+	kvSlice = 10 * sim.Millisecond
 )
 
 // kvStream is one client's pre-generated input: batch i is
@@ -185,7 +189,10 @@ func kvWorkload(prof func(device.Config) core.Profile, window sim.Duration) func
 		load.measureFrom = k.Now().Add(kvWarmup)
 		load.spawn(k, st)
 		end := load.measureFrom.Add(window)
-		r.timed("k.RunUntil", func() { k.RunUntil(end) })
+		for t := k.Now(); t < end; {
+			t = min(t.Add(kvSlice), end)
+			r.timed("k.RunUntil", func() { k.RunUntil(t) })
+		}
 		load.simMetrics(r, end)
 		r.exemplars = append(r.exemplars, load.smp.Take()...)
 		stackCounts(r, s, load.measureFrom, end)

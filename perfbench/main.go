@@ -6,10 +6,11 @@
 //	perfbench --workload kv-barrier --seed 1 --seconds 10 --trace 0
 //
 // A run repeats one unit of work (a "rep") until the budget is spent.
-// Host-time figures are medians over the reps; simulated figures and
-// per-layer counts are deterministic under the seed and must repeat
-// bit for bit in every rep. See README.md for the workloads, the metrics
-// and what each layer's metrics should move.
+// Host-time figures are medians over the reps, host_s and setup_s scaled
+// by the machine's speed during each rep (see calib.go); simulated
+// figures and per-layer counts are deterministic under the seed and must
+// repeat bit for bit in every rep. See README.md for the workloads, the
+// metrics and what each layer's metrics should move.
 package main
 
 import (
@@ -54,6 +55,10 @@ var tuningSeeds = map[int64]bool{1: true, 2: true, 3: true, 4: true, 5: true, 6:
 type rep struct {
 	tr     *tracer // nil: tracing off
 	kstats *sim.KernelStats
+	cal    *calibrator // nil: no calibration (traced reps)
+	// scale is the machine's slowness during the rep against the
+	// calibration reference (see calib.go); 1 on traced reps.
+	scale float64
 
 	setupD, timedD time.Duration
 	gostats        goStats // Go runtime counters over the whole rep
@@ -71,7 +76,7 @@ type rep struct {
 }
 
 func newRep(tr *tracer) *rep {
-	return &rep{tr: tr, kstats: &sim.KernelStats{}, det: map[string]float64{}, host: map[string]float64{}}
+	return &rep{tr: tr, kstats: &sim.KernelStats{}, scale: 1, det: map[string]float64{}, host: map[string]float64{}}
 }
 
 // setup runs fn as set-up work inside a span and returns its duration.
@@ -83,17 +88,27 @@ func (r *rep) setup(name string, fn func()) time.Duration {
 	return d
 }
 
-// timed runs fn as timed-phase work inside a span and returns its duration.
+// timed runs fn as timed-phase work inside a span and returns its
+// duration. An untimed calibration slice may follow it.
 func (r *rep) timed(name string, fn func()) time.Duration {
 	t := time.Now()
 	r.tr.span(name, fn)
 	d := time.Since(t)
 	r.timedD += d
+	r.calibrate(d)
 	return d
 }
 
 func (r *rep) addSetup(d time.Duration) { r.setupD += d }
 func (r *rep) addTimed(d time.Duration) { r.timedD += d }
+
+// calibrate accounts d of timed work on the rep's calibrator, which runs a
+// calibration slice when its interval has passed.
+func (r *rep) calibrate(d time.Duration) {
+	if r.cal != nil {
+		r.cal.after(d)
+	}
+}
 
 // sampler returns a request-trace sampler on traced reps, nil otherwise.
 func (r *rep) sampler() *reqtrace.Sampler {
@@ -125,15 +140,23 @@ func streamSeed(seed int64, stream string, idx int) int64 {
 	return int64(x >> 1)
 }
 
-// runRep runs one rep and folds the kernel stats into its counts.
-func runRep(work func(*rep, int64), seed int64, tr *tracer) (*rep, float64) {
+// runRep runs one rep and folds the kernel stats into its counts. cal,
+// when not nil, calibrates the rep.
+func runRep(work func(*rep, int64), seed int64, tr *tracer, cal *calibrator) (*rep, float64) {
 	runtime.GC() // start every rep from a collected heap
 	r := newRep(tr)
+	if cal != nil {
+		cal.reset()
+		r.cal = cal
+	}
 	hw := watchHeap()
 	g := readGoStats()
 	work(r, seed)
 	r.gostats = readGoStats().sub(g)
 	peak := hw.stop()
+	if cal != nil {
+		r.scale = cal.scale()
+	}
 	ks := r.kstats
 	r.det["sim.events"] += float64(ks.HandlerDispatches.Load() + ks.GoroutineDispatches.Load())
 	r.det["sim.goroutine_events"] += float64(ks.GoroutineDispatches.Load())
@@ -164,13 +187,14 @@ func (res *result) all() []*rep {
 func run(work func(*rep, int64), seed int64, budget time.Duration, trace bool) *result {
 	res := &result{buckets: profileBuckets{}}
 	start := time.Now()
-	res.warm, _ = runRep(work, seed, nil)
+	cal := newCalibrator()
+	res.warm, _ = runRep(work, seed, nil, cal)
 	untracedBudget, untracedMin := budget, minReps
 	if trace {
 		untracedBudget, untracedMin = budget/2, 2
 	}
 	for len(res.reps) < untracedMin || time.Since(start) < untracedBudget {
-		r, peak := runRep(work, seed, nil)
+		r, peak := runRep(work, seed, nil, cal)
 		res.reps = append(res.reps, r)
 		res.peaks = append(res.peaks, peak)
 	}
@@ -183,7 +207,7 @@ func run(work func(*rep, int64), seed int64, budget time.Duration, trace bool) *
 		}
 		for len(res.traced) < 2 || time.Since(start) < budget {
 			tr.tid = len(res.traced) + 1
-			r, _ := runRep(work, seed, tr)
+			r, _ := runRep(work, seed, tr, nil)
 			res.traced = append(res.traced, r)
 		}
 		pprof.StopCPUProfile()
@@ -260,12 +284,29 @@ func (res *result) attempted() (att, failed int64) {
 	return att, failed
 }
 
+// hostS is host_s: the median over the reps of the timed phase's wall
+// time divided by the machine's slowness during the rep.
+func hostS(reps []*rep) float64 {
+	return median(collect(reps, func(r *rep) float64 { return r.timedD.Seconds() / r.scale }))
+}
+
+// setupS is setup_s: the median over the reps of the set-up's wall time
+// divided by the machine's slowness during the rep.
+func setupS(reps []*rep) float64 {
+	return median(collect(reps, func(r *rep) float64 { return r.setupD.Seconds() / r.scale }))
+}
+
+// wallS is the median over the reps of the timed phase's wall time.
+func wallS(reps []*rep) float64 {
+	return median(collect(reps, func(r *rep) float64 { return r.timedD.Seconds() }))
+}
+
 // endToEndValues computes the end-to-end metrics from the untraced reps.
 func (res *result) endToEndValues() map[string]float64 {
 	det := res.reps[0].det
 	return map[string]float64{
-		"setup_s":       median(collect(res.reps, func(r *rep) float64 { return r.setupD.Seconds() })),
-		"host_s":        median(collect(res.reps, func(r *rep) float64 { return r.timedD.Seconds() })),
+		"setup_s":       setupS(res.reps),
+		"host_s":        hostS(res.reps),
 		"peak_heap_mb":  median(res.peaks),
 		"sim_ops_per_s": det["sim_ops_per_s"],
 		"sim_mean_ms":   det["sim_mean_ms"],
@@ -283,8 +324,8 @@ func ratio(a, b float64) float64 {
 // perLayerValues computes the per-layer metrics of a traced run.
 func (res *result) perLayerValues() map[string]float64 {
 	det := res.reps[0].det
-	hostS := median(collect(res.reps, func(r *rep) float64 { return r.timedD.Seconds() }))
-	tracedS := median(collect(res.traced, func(r *rep) float64 { return r.timedD.Seconds() }))
+	host := hostS(res.reps)
+	tracedS := wallS(res.traced)
 	// Counts recorded under their metric's name pass straight through;
 	// the ratios and host figures are derived below.
 	v := map[string]float64{}
@@ -295,7 +336,7 @@ func (res *result) perLayerValues() map[string]float64 {
 	}
 	if det["sim.events"] > 0 {
 		v["sim.goroutine_dispatch_frac"] = det["sim.goroutine_events"] / det["sim.events"]
-		v["sim.events_per_host_s"] = ratio(det["sim.events"], hostS)
+		v["sim.events_per_host_s"] = ratio(det["sim.events"], host)
 	}
 	if _, ok := det["ftl.host_appends"]; ok {
 		v["ftl.write_amp"] = ratio(det["ftl.host_appends"]+det["ftl.gc_appends"], det["ftl.host_appends"])
@@ -331,7 +372,7 @@ func (res *result) perLayerValues() map[string]float64 {
 		v[l+".self_frac"] = shares[l]
 	}
 	if cmds := det["device.cmds"]; cmds > 0 {
-		v["device.host_ns_per_cmd"] = shares["device"] * hostS * 1e9 / cmds
+		v["device.host_ns_per_cmd"] = shares["device"] * host * 1e9 / cmds
 	}
 	if mc := res.tracer.total("crashmc.ModelCheck"); mc > 0 {
 		var chk float64
@@ -356,7 +397,9 @@ func (res *result) perLayerValues() map[string]float64 {
 	}
 	att, failed := res.attempted()
 	v["fail_frac"] = ratio(float64(failed), float64(att))
-	v["trace.overhead_frac"] = ratio(tracedS, hostS)
+	v["trace.overhead_frac"] = ratio(tracedS, wallS(res.reps))
+	v["bench.wall_s"] = wallS(res.reps)
+	v["bench.cal_scale"] = median(collect(res.reps, func(r *rep) float64 { return r.scale }))
 
 	out := make(map[string]float64, len(perLayer))
 	for _, d := range perLayer {

@@ -106,5 +106,7 @@ var perLayer = func() []metricDef {
 		{"sim_samples", "count"},
 		{"fail_frac", "ratio"},
 		{"trace.overhead_frac", "ratio"},
+		{"bench.wall_s", "s"},
+		{"bench.cal_scale", "ratio"},
 	}...)
 }()

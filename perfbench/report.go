@@ -157,13 +157,14 @@ func commit() string {
 
 // printReport prints the human-readable summary, every line prefixed "# ".
 func printReport(w io.Writer, res *result, e2e map[string]float64) {
-	hostS := collect(res.reps, func(r *rep) float64 { return r.timedD.Seconds() })
-	setupS := collect(res.reps, func(r *rep) float64 { return r.setupD.Seconds() })
+	timed := collect(res.reps, func(r *rep) float64 { return r.timedD.Seconds() })
+	setup := collect(res.reps, func(r *rep) float64 { return r.setupD.Seconds() })
 	fmt.Fprintf(w, "# %d untraced reps, %d traced\n", len(res.reps), len(res.traced))
-	fmt.Fprintf(w, "# per-rep host_s  %s\n", fmtList(hostS))
-	fmt.Fprintf(w, "# per-rep setup_s %s\n", fmtList(setupS))
+	fmt.Fprintf(w, "# per-rep timed wall s  %s\n", fmtList(timed))
+	fmt.Fprintf(w, "# per-rep set-up wall s %s\n", fmtList(setup))
 	fmt.Fprintf(w, "# per-rep peak_heap_mb %s\n", fmtList(res.peaks))
-	fmt.Fprintf(w, "# end-to-end (tracing off; host figures are medians over reps):\n")
+	fmt.Fprintf(w, "# per-rep machine slowness %s\n", fmtList(collect(res.reps, func(r *rep) float64 { return r.scale })))
+	fmt.Fprintf(w, "# end-to-end (tracing off; host figures are medians over reps, host_s and setup_s divided by the machine's slowness):\n")
 	for _, d := range endToEnd {
 		fmt.Fprintf(w, "#   %-16s %14.6g %s\n", d.name, e2e[d.name], d.unit)
 	}
