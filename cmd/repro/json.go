@@ -257,6 +257,7 @@ func kvJSON(r experiments.KVResult) []map[string]any {
 	for _, c := range r.Crash {
 		rows = append(rows, map[string]any{
 			"config": c.Config, "crash_trials": c.Trials, "crash_violations": c.Violations,
+			"crash_capped": c.Capped,
 		})
 	}
 	return rows

@@ -28,12 +28,12 @@ type liveStats struct {
 }
 
 // headline is the subset of registry samples worth a terminal line: one
-// cumulative figure per stack layer plus the crash-sweep counters the
-// long-running experiments are dominated by.
+// cumulative figure per stack layer plus the crash model checker's state
+// count, which the long-running crash sweeps are dominated by.
 var headline = []string{
 	"device/writes", "blkmq/dispatched", "jbd/commits",
 	"fs/pdflush.runs", "kvwal/group.commits",
-	"crashmc/states", "crashtest/trials",
+	"crashmc/states",
 }
 
 func startLive(interval time.Duration, httpAddr string) (*liveStats, error) {

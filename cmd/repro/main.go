@@ -24,10 +24,13 @@
 // `whyslow` runs the service with request-scoped causal tracing on and
 // attributes tail latency to stack stages (queue, batch, durability, ack,
 // plus the durability window's pipeline sub-stages), per (engine,
-// offered-load) cell; `crashmc` is the crash-state
-// model checker (internal/crashmc): states-explored and violation counts
-// per stack configuration, with EXT4-nobarrier's reachable ordering
-// violations as the positive control; `rebalance` resizes the live ring
+// offered-load) cell; `crash` sweeps crash instants on five stacks and
+// counts the points where some admissible crash state breaks fsync
+// durability or barrier ordering (internal/crashmc scenarios, with a
+// legacy-device control expected to violate); `crashmc` is the crash-state
+// model checker's table: states-explored and violation counts per stack
+// configuration, with EXT4-nobarrier's reachable ordering violations as
+// the positive control; `rebalance` resizes the live ring
 // under open-loop traffic (N->N+1 and kill+rebuild) and reports the
 // goodput/p99 timeline around the migration with the zero-acked-loss
 // audit; `fsreplay` replays a recorded JSONL request trace (-trace, or a

@@ -9,11 +9,10 @@ import (
 	"repro/internal/kvwal"
 )
 
-// The stock checkers. DurabilityChecker and OrderingChecker are the
-// crashtest trial audits re-expressed against the Checker interface: the
-// sampled trials and the model checker now run the identical invariant
-// logic, so a crashmc pass is the exhaustive form of the same statement a
-// crashtest sweep makes pointwise.
+// The stock checkers: fsync durability and barrier ordering of a file's
+// page history, journal-replay reach, fs metadata consistency, and the
+// kvwal store's own durability/prefix audit. Each is read-only over a
+// State, so one instance audits every admissible image of a crash point.
 
 // AckedWrite is one page write acknowledged durable (fsync returned) in
 // the workload's history.
@@ -213,9 +212,10 @@ func (c *KVChecker) Check(st *State) []Violation {
 	return c.CheckRecovered(c.Store.Recover(st.View))
 }
 
-// CheckRecovered audits an already-reconstructed store image. Callers that
-// need the Recovered value themselves (crashtest.KVTrial reports
-// WALApplied) use this to avoid running the recovery scan twice.
+// CheckRecovered audits an already-reconstructed store image. Checkers
+// that also inspect the Recovered value themselves (ClusterChecker's
+// routing audit, RebalanceChecker's placement and coverage audits) use
+// this to avoid running the recovery scan twice.
 func (c *KVChecker) CheckRecovered(rec kvwal.Recovered) []Violation {
 	durability, ordering := c.Store.Audit(rec)
 	out := make([]Violation, 0, len(durability)+len(ordering))

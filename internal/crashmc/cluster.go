@@ -108,7 +108,6 @@ func clusterTraffic(shards int) (*kvcluster.Ring, [][]kvcluster.Request) {
 // the journal and fs invariants. Surviving shards never crash, so they
 // have nothing to enumerate (see the factorization note above).
 func ClusterScenario(prof core.Profile, shards, kill int, cfg Config) ClusterResult {
-	cfg = cfg.withDefaults()
 	if kill > shards {
 		kill = shards
 	}
@@ -130,6 +129,7 @@ func ClusterScenario(prof core.Profile, shards, kill int, cfg Config) ClusterRes
 func clusterShardCheck(prof core.Profile, ring *kvcluster.Ring, shard int,
 	reqs []kvcluster.Request, cfg Config) Result {
 	k := sim.NewKernel()
+	defer k.Close()
 	s := core.NewStack(k, prof)
 	var st *kvwal.Store
 	k.Spawn("kvc/setup", func(p *sim.Proc) {
@@ -169,23 +169,13 @@ func clusterShardCheck(prof core.Profile, ring *kvcluster.Ring, shard int,
 		}
 	})
 	k.RunUntil(cfg.CrashAt)
-	cons := s.Dev.CaptureConstraints()
-	s.Crash()
 	if st == nil {
 		// Crash inside Open: nothing acknowledged, trivially consistent.
-		k.Close()
 		return Result{Profile: prof.Name, CrashAt: cfg.CrashAt}
 	}
-	base := recoverBase(k, s)
-	defer k.Close()
-
-	checkers := []Checker{
+	return crashAndCheck(k, s, cfg, []Checker{
 		&ClusterChecker{Ring: ring, Shard: shard, Store: st},
 		&JournalChecker{J: s.FS.Journal()},
 		&FSChecker{FS: s.FS},
-	}
-	res := ModelCheck(cons, base, prof.FS.Journal, checkers, cfg)
-	res.Profile = prof.Name
-	res.CrashAt = cfg.CrashAt
-	return res
+	})
 }

@@ -1,8 +1,7 @@
-// Package crashmc is a systematic crash-state model checker for the
-// order-preserving IO stack. Where internal/crashtest samples crash
-// instants and audits the single persisted state the simulator happens to
-// produce, crashmc fixes one crash instant and reasons about *every*
-// persisted state the device's semantics admit there:
+// Package crashmc is the repository's crash-state model checker for the
+// order-preserving IO stack. A crash point fixes one crash instant; the
+// checker reasons about *every* persisted state the device's semantics
+// admit there, not just the one the simulator happened to leave behind:
 //
 //  1. internal/device's CaptureConstraints records the volatile
 //     writeback-cache contents plus the partial persistence order the
@@ -13,19 +12,22 @@
 //     protection.
 //  2. The enumerator walks every downward-closed cut of that constraint
 //     DAG (subset-hash dedup; image-level pruning collapses cuts that
-//     materialize the same disk image). Above a configurable state cap it
-//     falls back to deterministic seeded sampling and says so via
-//     Config.Log — never silently.
+//     materialize the same disk image), starting from the empty cut — the
+//     recovered durable base, i.e. the image the simulated power failure
+//     actually leaves. Above a configurable state cap it falls back to
+//     deterministic seeded sampling and says so via Config.Log and
+//     Result.Capped — never silently.
 //  3. Each candidate image is materialized as a read overlay on the
 //     recovered durable base, a filesystem view is rebuilt over it
 //     (journal replay included), and pluggable Checkers audit the
 //     invariants: fsync durability, barrier ordering, journal-replay
 //     reach, fs metadata consistency, kvwal's durability/prefix audit.
 //
-// The payoff is the quantifier. crashtest concludes "we did not observe a
-// violation"; crashmc concludes "no admissible crash state violates the
-// invariant" — and on EXT4-nobarrier it reproduces the paper's motivating
-// result as a positive finding: ordering-violation states are reachable.
+// Scenario harnesses (scenario.go, cluster.go, rebalance.go) drive a
+// workload to the crash point and hand it to ModelCheck; Sweep runs one
+// scenario across many crash instants. On EXT4-nobarrier the checker
+// reproduces the paper's motivating result as a positive finding:
+// ordering-violation states are reachable.
 package crashmc
 
 import (
@@ -43,15 +45,13 @@ import (
 
 // State is one candidate post-crash disk image under audit.
 type State struct {
-	// Read returns the durable contents of an LPA in this state. May be
-	// nil when the caller audits an already-materialized view (the sampled
-	// crashtest trials).
+	// Read returns the durable contents of an LPA in this state.
 	Read jbd.ReadFn
 	// View is the filesystem recovered over Read (journal replay overlaid
 	// on in-place state).
 	View *fs.View
 	// ID compactly identifies the persisted volatile-write subset (hex
-	// bitmask of write indices; "sampled" for crashtest's single state).
+	// bitmask of write indices; "base" for the empty cut).
 	ID string
 }
 
@@ -125,10 +125,14 @@ type Result struct {
 	Volatile int // volatile writes captured at the crash instant
 	Streams  int // distinct streams among them
 
-	StatesExplored int  // distinct downward-closed cuts visited
+	// StatesExplored counts the distinct downward-closed cuts visited,
+	// sampled ones included: exhaustive cuts + Sampled.
+	StatesExplored int
 	ImagesChecked  int  // distinct disk images audited (after pruning)
 	Capped         bool // exhaustive enumeration hit MaxStates
-	Sampled        int  // additional cuts reached by the sampling fallback
+	// Sampled is how many of StatesExplored the sampling fallback reached
+	// after the cap (0 unless Capped).
+	Sampled int
 
 	Durability      int // violation counts by kind, across all images
 	Ordering        int
@@ -143,7 +147,7 @@ func (r Result) Ok() bool { return r.Durability+r.Ordering+r.Consistency == 0 }
 func (r Result) String() string {
 	mode := "exhaustive"
 	if r.Capped {
-		mode = fmt.Sprintf("capped+%d sampled", r.Sampled)
+		mode = fmt.Sprintf("capped, %d of them sampled", r.Sampled)
 	}
 	status := "OK: no admissible crash state violates the invariants"
 	if !r.Ok() {

@@ -131,6 +131,12 @@ func TestCapFallsBackToSamplingWithNotice(t *testing.T) {
 	if res.Sampled == 0 {
 		t.Fatal("expected sampled cuts beyond the exhaustive prefix")
 	}
+	// StatesExplored counts every visited cut: the capped exhaustive
+	// prefix plus the sampled ones.
+	if res.StatesExplored != cfg.MaxStates+res.Sampled {
+		t.Fatalf("StatesExplored %d, want %d exhaustive + %d sampled",
+			res.StatesExplored, cfg.MaxStates, res.Sampled)
+	}
 	if res.Ok() {
 		t.Fatal("nobarrier violations must still surface under the sampling fallback")
 	}

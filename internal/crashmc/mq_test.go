@@ -1,4 +1,4 @@
-package crashtest
+package crashmc
 
 import (
 	"fmt"
@@ -277,29 +277,6 @@ func TestMQFdatabarrierCoversSpreadWriteback(t *testing.T) {
 		if got, ok := view.PageVersion(meta, a.idx); !ok || got < a.ver {
 			t.Errorf("page %d: barrier-ordered v%d before durable marker, recovered v%d (present=%v)",
 				a.idx, a.ver, got, ok)
-		}
-	}
-}
-
-// TestDurabilityMQ and TestOrderingMQ run the standard sweeps on the MQ
-// stacks: the multi-queue layer must meet the same contracts as the
-// single-queue one.
-func TestDurabilityMQ(t *testing.T) {
-	for _, mk := range []func(device.Config) core.Profile{core.EXT4MQ, core.BFSMQ} {
-		for _, rep := range Sweep(mk(device.NVMeSSD()), "durability",
-			times(500, 2500, 9000, 30000)) {
-			if !rep.Ok() {
-				t.Errorf("%v: %v", rep, rep.DurabilityErrors)
-			}
-		}
-	}
-}
-
-func TestOrderingMQ(t *testing.T) {
-	for _, rep := range Sweep(core.BFSMQ(device.NVMeSSD()), "ordering",
-		times(300, 900, 2000, 4500, 9000, 15000, 25000)) {
-		if !rep.Ok() {
-			t.Errorf("%v: %v", rep, rep.OrderingErrors)
 		}
 	}
 }

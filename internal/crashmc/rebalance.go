@@ -161,13 +161,11 @@ func (r RebalanceResult) String() string {
 // and fs invariants. Each crash point is an independent sim, so the
 // enumeration per point stays the victim's own state space.
 func RebalanceScenario(prof func(device.Config) core.Profile, shards int, cfg Config) RebalanceResult {
-	cfg = cfg.withDefaults()
-	var name string
 	out := RebalanceResult{Shards: shards}
 	for _, phase := range RebalancePhases {
 		for _, victim := range []int{0, shards} { // a source and the new shard
-			res, profName := rebalancePoint(prof, shards, phase, victim, cfg, "")
-			name = profName
+			res := rebalancePoint(prof, shards, phase, victim, cfg, "")
+			out.Profile = res.Profile
 			out.Points = append(out.Points, RebalancePoint{Phase: phase, Victim: victim, Result: res})
 			out.StatesExplored += res.StatesExplored
 			out.ImagesChecked += res.ImagesChecked
@@ -176,7 +174,6 @@ func RebalanceScenario(prof func(device.Config) core.Profile, shards int, cfg Co
 			out.Consistency += res.Consistency
 		}
 	}
-	out.Profile = name
 	return out
 }
 
@@ -185,7 +182,7 @@ func RebalanceScenario(prof func(device.Config) core.Profile, shards int, cfg Co
 // model-checks it. phantom, if non-empty, is injected into the acked set
 // without ever being written — a self-test that the coverage audit bites.
 func rebalancePoint(prof func(device.Config) core.Profile, shards int,
-	phase kvcluster.MigrationState, victim int, cfg Config, phantom string) (Result, string) {
+	phase kvcluster.MigrationState, victim int, cfg Config, phantom string) Result {
 	k := sim.NewKernel()
 	defer k.Close()
 
@@ -268,14 +265,9 @@ func rebalancePoint(prof func(device.Config) core.Profile, shards int,
 	if phantom != "" {
 		acked[phantom] = true
 	}
-	// Snapshot the rings now: recoverBase's k.Run lets the migration finish,
+	// Snapshot the rings now: the recovery run lets the migration finish,
 	// which swaps the cluster ring to the target.
 	oldRing, newRing := cl.Ring(), mig.Target()
-
-	stack := cl.Stack(victim)
-	cons := stack.Dev.CaptureConstraints()
-	stack.Crash()
-	base := recoverBase(k, stack)
 
 	survivors := make([]*kvwal.Store, shards+1)
 	for s := 0; s <= shards; s++ {
@@ -283,7 +275,9 @@ func rebalancePoint(prof func(device.Config) core.Profile, shards int,
 			survivors[s] = cl.Store(s)
 		}
 	}
-	checkers := []Checker{
+	stack := cl.Stack(victim)
+	cfg.CrashAt = k.Now()
+	res := crashAndCheck(k, stack, cfg, []Checker{
 		&RebalanceChecker{
 			Old: oldRing, New: newRing, Replicas: rc.Replicas,
 			Victim: victim, Store: cl.Store(victim),
@@ -291,10 +285,7 @@ func rebalancePoint(prof func(device.Config) core.Profile, shards int,
 		},
 		&JournalChecker{J: stack.FS.Journal()},
 		&FSChecker{FS: stack.FS},
-	}
-	profile := rc.Profile(device.PlainSSD())
-	res := ModelCheck(cons, base, profile.FS.Journal, checkers, cfg)
-	res.Profile = profName
-	res.CrashAt = k.Now()
-	return res, profName
+	})
+	res.Profile = profName // the victim stack's own name carries a /replicaN suffix
+	return res
 }

@@ -59,7 +59,7 @@ func TestRebalanceCheckerFlagsUncoveredKeys(t *testing.T) {
 	}
 	cfg := Config{MaxStates: 500, Samples: 16,
 		Log: func(f string, a ...any) { t.Logf(f, a...) }}
-	res, _ := rebalancePoint(core.BFSDR, 3, kvcluster.MigCatchUp, 3, cfg, "phantom-key")
+	res := rebalancePoint(core.BFSDR, 3, kvcluster.MigCatchUp, 3, cfg, "phantom-key")
 	if res.Durability == 0 {
 		t.Fatal("fabricated uncovered acked key produced no durability violations")
 	}

@@ -9,17 +9,21 @@ import (
 	"repro/internal/fault"
 	"repro/internal/jbd"
 	"repro/internal/kvwal"
+	"repro/internal/par"
 	"repro/internal/sim"
 )
 
-// Scenario harnesses: drive a workload on a live stack to the crash
-// instant, capture the device's persistence constraints, recover the
-// durable base, and model-check every admissible crash state.
+// Scenario harnesses: each drives a workload on a live stack to the crash
+// instant and hands the stack to crashAndCheck, the one crash-point
+// harness, which captures the device's persistence constraints, recovers
+// the durable base and model-checks every admissible crash state. Sweep
+// runs a scenario across many crash instants.
 //
 // Callers that need exhaustive enumeration on unconstrained (nobarrier)
 // profiles should bound the workload (Config.Writes) and shrink the
 // journal window in the profile (jbd scan cost is paid once per candidate
-// image).
+// image). Sweeps over long runs bound each point with Config.MaxStates and
+// Config.Samples instead.
 
 // OrderingPages is the file size (in pages) of the ordering scenario;
 // page 0 is left untouched as a recovery anchor.
@@ -37,10 +41,8 @@ func CompactJournal(prof core.Profile, pages int) core.Profile {
 	return prof
 }
 
-// OrderingWorkload is a handle on the §4.1 barrier-ordering codelet. The
-// same driver backs crashmc.OrderingScenario and crashtest.OrderingTrial,
-// so the sampled trials and the model checker audit the identical
-// workload history.
+// OrderingWorkload is a handle on the §4.1 barrier-ordering codelet, the
+// workload OrderingScenario model-checks.
 type OrderingWorkload struct {
 	File string
 	// Pages is the file size; page 0 is an untouched recovery anchor.
@@ -104,20 +106,43 @@ func (w *OrderingWorkload) Checkers(s *core.Stack) []Checker {
 // SpawnOrderingWorkload to the crash instant and audits the workload's
 // checkers across every admissible crash state.
 func OrderingScenario(prof core.Profile, cfg Config) Result {
-	cfg = cfg.withDefaults()
 	k := sim.NewKernel()
+	defer k.Close()
 	s := core.NewStack(k, prof)
 	w := SpawnOrderingWorkload(k, s, OrderingPages, cfg.Writes)
 	k.RunUntil(cfg.CrashAt)
-	cons := s.Dev.CaptureConstraints()
-	s.Crash()
-	base := recoverBase(k, s)
-	defer k.Close()
+	return crashAndCheck(k, s, cfg, w.Checkers(s))
+}
 
-	res := ModelCheck(cons, base, prof.FS.Journal, w.Checkers(s), cfg)
-	res.Profile = prof.Name
-	res.CrashAt = cfg.CrashAt
-	return res
+// DurabilityScenario is the fsync contract under the model checker: one
+// writer writes page i of a file, fsyncs and records the acknowledged
+// version, forever. At the crash instant it audits fsync durability of
+// every acknowledged write, journal-replay reach and fs metadata
+// consistency across every admissible crash state.
+func DurabilityScenario(prof core.Profile, cfg Config) Result {
+	const file = "durable.dat"
+	k := sim.NewKernel()
+	defer k.Close()
+	s := core.NewStack(k, prof)
+	var synced []AckedWrite
+	k.Spawn("writer", func(p *sim.Proc) {
+		f, err := s.FS.Create(p, s.FS.Root(), file)
+		if err != nil {
+			panic(err)
+		}
+		for i := int64(0); ; i++ {
+			s.FS.Write(p, f, i)
+			s.FS.Fsync(p, f)
+			ver, _ := s.FS.Read(p, f, i)
+			synced = append(synced, AckedWrite{Idx: i, Ver: ver})
+		}
+	})
+	k.RunUntil(cfg.CrashAt)
+	return crashAndCheck(k, s, cfg, []Checker{
+		&DurabilityChecker{FS: s.FS, File: file, Synced: synced},
+		&JournalChecker{J: s.FS.Journal()},
+		&FSChecker{FS: s.FS},
+	})
 }
 
 // PLPFailureDevice installs the PLP-failure fault plan on a supercap
@@ -132,9 +157,8 @@ func PLPFailureDevice(dev device.Config, seed uint64) device.Config {
 	return dev
 }
 
-// KVWorkload is a handle on the canonical kvwal crash workload. The same
-// driver backs crashmc.KVScenario and crashtest.KVTrial, so the sampled
-// trials and the model checker audit the identical workload history.
+// KVWorkload is a handle on the canonical kvwal crash workload, the
+// workload KVScenario model-checks.
 type KVWorkload struct {
 	st *kvwal.Store
 }
@@ -181,48 +205,59 @@ func SpawnKVWorkload(k *sim.Kernel, s *core.Stack, clients int) *KVWorkload {
 }
 
 // KVScenario drives the kvwal store with concurrent committing clients
-// (the crashtest.KVTrial workload, via the shared SpawnKVWorkload driver)
-// and model-checks the store's durability/prefix-ordering audit plus the
-// journal and fs invariants across every admissible crash state at the
-// crash instant.
+// (SpawnKVWorkload) and model-checks the store's durability/prefix-ordering
+// audit plus the journal and fs invariants across every admissible crash
+// state at the crash instant.
 func KVScenario(prof core.Profile, clients int, cfg Config) Result {
-	cfg = cfg.withDefaults()
 	k := sim.NewKernel()
+	defer k.Close()
 	s := core.NewStack(k, prof)
 	w := SpawnKVWorkload(k, s, clients)
 	k.RunUntil(cfg.CrashAt)
-	cons := s.Dev.CaptureConstraints()
-	s.Crash()
 	st := w.Store()
 	if st == nil {
 		// The crash landed inside Open: nothing was ever acknowledged, so
-		// every admissible state is trivially consistent.
-		k.Close()
+		// every admissible state is trivially consistent. The clients are
+		// still poll-sleeping for readiness; Close reaps them.
 		return Result{Profile: prof.Name, CrashAt: cfg.CrashAt}
 	}
-	base := recoverBase(k, s)
-	defer k.Close()
-
-	checkers := []Checker{
+	return crashAndCheck(k, s, cfg, []Checker{
 		&KVChecker{Store: st},
 		&JournalChecker{J: s.FS.Journal()},
 		&FSChecker{FS: s.FS},
-	}
-	res := ModelCheck(cons, base, prof.FS.Journal, checkers, cfg)
-	res.Profile = prof.Name
+	})
+}
+
+// crashAndCheck is the crash-point harness every scenario shares. With the
+// workload run to cfg.CrashAt, it captures the device's persistence
+// constraints, power-fails the device, powers it back on (FTL mount-time
+// recovery) to get the durable base every candidate cut overlays, and
+// model-checks every admissible crash state against the checkers, which
+// carry the workload's host-side history up to the crash.
+func crashAndCheck(k *sim.Kernel, s *core.Stack, cfg Config, checkers []Checker) Result {
+	cons := s.Dev.CaptureConstraints()
+	s.Crash()
+	var base jbd.ReadFn
+	k.Spawn("recover", func(p *sim.Proc) {
+		base = device.Recover(p, s.Dev).DurableData
+	})
+	k.Run()
+	res := ModelCheck(cons, base, s.Profile.FS.Journal, checkers, cfg)
+	res.Profile = s.Profile.Name
 	res.CrashAt = cfg.CrashAt
 	return res
 }
 
-// recoverBase powers the crashed device back on (FTL mount-time recovery)
-// and returns its durable read function: the base image every candidate
-// cut overlays.
-func recoverBase(k *sim.Kernel, s *core.Stack) jbd.ReadFn {
-	var base jbd.ReadFn
-	k.Spawn("recover", func(p *sim.Proc) {
-		d2 := device.Recover(p, s.Dev)
-		base = d2.DurableData
+// Sweep model-checks scenario on prof at each crash instant in times.
+// cfg bounds every point (MaxStates, Samples); its CrashAt is replaced
+// per point. Each point owns a private kernel, so the sweep fans out
+// across CPUs; results come back in times order.
+func Sweep(prof core.Profile, times []sim.Time, cfg Config, scenario func(core.Profile, Config) Result) []Result {
+	out := make([]Result, len(times))
+	par.For(len(times), func(i int) {
+		c := cfg
+		c.CrashAt = times[i]
+		out[i] = scenario(prof, c)
 	})
-	k.Run()
-	return base
+	return out
 }

@@ -34,7 +34,7 @@ type CrashMCRow struct {
 	States     int
 	Images     int
 	Capped     bool
-	Sampled    int
+	Sampled    int // how many of States were sampled past the cap
 	Durability int
 	Ordering   int
 	// Consistency counts fs metadata self-consistency breaches (expected
@@ -53,14 +53,19 @@ func (r CrashMCResult) String() string {
 	t := newTable("Crash-state model checking (states explored / violations per profile)")
 	t.row("%-16s %9s %9s %8s %8s %8s %10s %9s %9s %10s %7s", "config", "crash(us)", "volatile",
 		"streams", "states", "images", "capped", "dur.viol", "ord.viol", "cons.viol", "badimg")
+	anyCapped := false
 	for _, row := range r.Rows {
 		capped := "no"
 		if row.Capped {
-			capped = fmt.Sprintf("yes(+%d)", row.Sampled)
+			capped = fmt.Sprintf("yes(%d)", row.Sampled)
+			anyCapped = true
 		}
 		t.row("%-16s %9d %9d %8d %8d %8d %10s %9d %9d %10d %7d",
 			row.Config, row.CrashAtUs, row.Volatile, row.Streams, row.States, row.Images,
 			capped, row.Durability, row.Ordering, row.Consistency, row.ViolationStates)
+	}
+	if anyCapped {
+		t.row("capped yes(N): N of the row's states were sampled past the state cap")
 	}
 	for _, n := range r.Notes {
 		t.row("note: %s", n)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/crashtest"
+	"repro/internal/crashmc"
 	"repro/internal/device"
 	"repro/internal/kvwal"
 	"repro/internal/par"
@@ -29,6 +29,7 @@ type KVCrashRow struct {
 	Config     string
 	Trials     int
 	Violations int
+	Capped     int // points whose state space hit the per-point cap
 }
 
 // KVResult is the kvwal application experiment: the throughput/latency
@@ -72,19 +73,25 @@ func KV(scale Scale) KVResult {
 			P50: res.Latency.Median, P99: res.Latency.P99, P999: res.Latency.P999,
 		}
 	})
-	// Crash sweep: enumerated crash points per profile, concurrent clients.
-	// KVSweep fans its trials out itself, so the profile loop stays serial.
+	// Crash sweep: at each crash point the model checker audits every
+	// admissible crash state, capped per point. Sweep fans its points out
+	// itself, so the profile loop stays serial.
 	n := scale.n(4, 10)
 	var times []sim.Time
 	for i := 1; i <= n; i++ {
 		times = append(times, sim.Time(sim.Duration(i*i)*600*sim.Microsecond))
 	}
+	cfg := crashmc.Config{MaxStates: 512, Samples: 32, Log: func(string, ...any) {}}
+	kv := func(prof core.Profile, c crashmc.Config) crashmc.Result { return crashmc.KVScenario(prof, 4, c) }
 	for _, mk := range profiles {
 		prof := mk(device.NVMeSSD())
 		row := KVCrashRow{Config: prof.Name, Trials: len(times)}
-		for _, rep := range crashtest.KVSweep(prof, 4, times) {
-			if !rep.Ok() {
+		for _, res := range crashmc.Sweep(prof, times, cfg, kv) {
+			if !res.Ok() {
 				row.Violations++
+			}
+			if res.Capped {
+				row.Capped++
 			}
 		}
 		out.Crash = append(out.Crash, row)
@@ -104,6 +111,9 @@ func (r KVResult) String() string {
 		verdict := "OK"
 		if c.Violations > 0 {
 			verdict = fmt.Sprintf("FAIL (%d violated)", c.Violations)
+		}
+		if c.Capped > 0 {
+			verdict += fmt.Sprintf(" (%d capped)", c.Capped)
 		}
 		t.row("%-8s %d crash points  %s", c.Config, c.Trials, verdict)
 	}

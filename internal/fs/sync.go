@@ -56,6 +56,14 @@ func (f *FS) FdatasyncT(p *sim.Proc, i *Inode, tc reqtrace.Ctx) {
 	f.stats.Fdatasyncs++
 	defer f.syncSpan("fdatasync")()
 	f.sync(p, i, i.allocDirty && i.MetaPending(), tc)
+	if i.allocDirty {
+		// The allocation change was not pending, but a committing
+		// transaction may have frozen it: then it is durable only once
+		// that transaction is.
+		if t := i.buf.Committing(); t != nil {
+			f.j.WaitTxn(p, t)
+		}
+	}
 }
 
 func (f *FS) sync(p *sim.Proc, i *Inode, commitMeta bool, tc reqtrace.Ctx) {

@@ -141,6 +141,11 @@ type Buffer struct {
 // the running transaction or on the conflict-page list).
 func (b *Buffer) Pending() bool { return b.inRunning || b.conflict }
 
+// Committing returns the committing transaction that holds the buffer
+// frozen, or nil. The frozen snapshot is durable only once that
+// transaction is, even when the buffer is not Pending.
+func (b *Buffer) Committing() *Txn { return b.owner }
+
 // logged is one frozen (home, snapshot) pair inside a committing txn.
 type logged struct {
 	home uint64
