@@ -3,7 +3,10 @@
 // byte-identical to the seed's container/heap event queue. Each case runs a
 // real workload twice on the optimized kernel (run-to-run determinism) and
 // once on sim.NewReferenceKernel (the container/heap oracle), comparing the
-// (time, seq, proc) dispatch sequences via sim.Trace.
+// (time, seq, proc) dispatch sequences via sim.Trace. Both kernels run the
+// same device, fs and journal code, so each case also pins its checked-in
+// digest: a model change that reorders dispatch must re-record it on
+// purpose.
 package repro_test
 
 import (
@@ -19,52 +22,59 @@ import (
 	"repro/internal/workload"
 )
 
+// digest is a dispatch trace's frozen identity: its length and hash.
+type digest struct {
+	n    int
+	hash uint64
+}
+
 // goldenCase drives one workload on a kernel built by newK and returns its
-// dispatch trace.
+// dispatch trace; want is the trace's recorded digest.
 type goldenCase struct {
 	name string
+	want digest
 	run  func(k *sim.Kernel)
 }
 
 func goldenCases() []goldenCase {
 	short := 8 * sim.Millisecond
 	return []goldenCase{
-		{"fig1/buffered-EXT4-OD", func(k *sim.Kernel) {
+		{"fig1/buffered-EXT4-OD", digest{4485, 0x5f02338a95ef3ed0}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.EXT4OD(device.Fig1Device(0)))
 			cfg := workload.DefaultRandWrite(workload.PolicyP)
 			cfg.Duration, cfg.Warmup, cfg.FilePages = short, short/4, 256
 			workload.RandWrite(k, s, cfg)
 		}},
-		{"fig9/barrier-BFS-OD", func(k *sim.Kernel) {
+		{"fig9/barrier-BFS-OD", digest{9712, 0xd43dfef263629d33}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.BFSOD(device.UFS()))
 			cfg := workload.DefaultRandWrite(workload.PolicyB)
 			cfg.Duration, cfg.Warmup, cfg.FilePages = short, short/4, 256
 			workload.RandWrite(k, s, cfg)
 		}},
-		{"fig14/sqlite-BFS-DR", func(k *sim.Kernel) {
+		{"fig14/sqlite-BFS-DR", digest{5013, 0x181a86e671bbf059}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.BFSDR(device.UFS()))
 			sqlmini.Bench(k, s, sqlmini.DefaultConfig(sqlmini.Persist, sqlmini.Durable), short)
 		}},
-		{"fig15/oltp-EXT4-DR", func(k *sim.Kernel) {
+		{"fig15/oltp-EXT4-DR", digest{8275, 0x87448a37ef792e02}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.EXT4DR(device.PlainSSD()))
 			cfg := oltp.DefaultConfig()
 			cfg.Clients = 2
 			oltp.Bench(k, s, cfg, short)
 		}},
-		{"blkmq/EXT4-MQ-varmail", func(k *sim.Kernel) {
+		{"blkmq/EXT4-MQ-varmail", digest{3323, 0x4b52a37180d31f02}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.EXT4MQ(device.NVMeSSD()))
 			cfg := workload.DefaultVarmail()
 			cfg.Threads, cfg.Files = 4, 16
 			cfg.Duration, cfg.Warmup = short, short/4
 			workload.Varmail(k, s, cfg)
 		}},
-		{"kvwal/BFS-MQ-groupcommit", func(k *sim.Kernel) {
+		{"kvwal/BFS-MQ-groupcommit", digest{271839, 0x9fbf609993244621}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.BFSMQ(device.NVMeSSD()))
 			kvwal.Bench(k, s, kvwal.DefaultBenchConfig(4), short)
 		}},
 		// pdflush coverage: an app that only dirties pages, so every
 		// writeback is the pdflush daemon's, including its congestion parks.
-		{"pdflush/EXT4-OD-buffered", func(k *sim.Kernel) {
+		{"pdflush/EXT4-OD-buffered", digest{2574, 0xffeaf431419a5524}, func(k *sim.Kernel) {
 			prof := core.EXT4OD(device.UFS())
 			prof.FS.PdflushInterval = 300 * sim.Microsecond
 			s := core.NewStack(k, prof)
@@ -85,7 +95,7 @@ func goldenCases() []goldenCase {
 		// GC + OptFS delayed-flush coverage: a deliberately tiny, fast array
 		// so the log wraps within the run and the GC/erase machinery and the
 		// delayed-durability timer both fire.
-		{"gc/OptFS-tinydev", func(k *sim.Kernel) {
+		{"gc/OptFS-tinydev", digest{33618, 0x90e867be4a69370d}, func(k *sim.Kernel) {
 			cfg := device.Config{
 				Name: "tiny", QueueDepth: 8, CachePages: 64,
 				BarrierSupport: true,
@@ -117,8 +127,8 @@ func traceOf(newK func() *sim.Kernel, c goldenCase) *sim.Trace {
 }
 
 // TestGoldenDispatchTraces pins (a) run-to-run determinism of the optimized
-// kernel and (b) byte-identical dispatch order against the reference
-// container/heap kernel, across the paper's workload families: buffered and
+// kernel, (b) byte-identical dispatch order against the reference
+// container/heap kernel and (c) the recorded digest of each case, across the paper's workload families: buffered and
 // barrier random writes (Figs. 1/9), SQLite (Fig. 14), OLTP (Fig. 15), the
 // multi-queue block layer, and the kvwal group-commit store.
 func TestGoldenDispatchTraces(t *testing.T) {
@@ -138,6 +148,10 @@ func TestGoldenDispatchTraces(t *testing.T) {
 			}
 			if a.Len() == 0 {
 				t.Fatal("empty trace: workload did not run")
+			}
+			if got := (digest{a.Len(), a.Hash()}); got != c.want {
+				t.Fatalf("dispatch trace moved from its recorded digest: got digest{%d, 0x%016x}, want digest{%d, 0x%016x}",
+					got.n, got.hash, c.want.n, c.want.hash)
 			}
 		})
 	}
