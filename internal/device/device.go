@@ -82,6 +82,12 @@ type Device struct {
 	reap reapSM
 
 	eligScratch []int // pick()'s eligible-index scratch, reused across calls
+	// noPick memoises an empty pick. What pick can choose depends only on
+	// queued and the ordering index, which change only in Submit, retire
+	// and Crash; each clears the flag. A scan that finds nothing eligible
+	// sets it, so every pick before the next change returns nil in O(1)
+	// instead of rescanning the queue.
+	noPick bool
 
 	qdSeries *metrics.Series
 	stats    Stats
@@ -243,6 +249,7 @@ func (d *Device) Submit(c *Command) bool {
 		so.ord = append(so.ord, c.seq)
 	}
 	d.queued = append(d.queued, c)
+	d.noPick = false
 	d.qdSeries.Record(d.k.Now(), float64(d.Occupancy()))
 	if d.obs.qdepth != nil {
 		d.obs.qdepth.Set(int64(d.Occupancy()))
@@ -311,6 +318,7 @@ func (d *Device) retire(c *Command) {
 	if c.Prio != PrioSimple {
 		so.ord = seqRemove(so.ord, c.seq)
 	}
+	d.noPick = false
 }
 
 // eligible reports whether queued command c may begin service under SCSI
@@ -335,6 +343,9 @@ func (d *Device) eligible(c *Command) bool {
 // pick removes one eligible command from the queue, emulating the
 // controller's freedom to choose among simple commands.
 func (d *Device) pick() *Command {
+	if d.noPick {
+		return nil
+	}
 	elig := d.eligScratch[:0]
 	for i, c := range d.queued {
 		if d.eligible(c) {
@@ -347,6 +358,7 @@ func (d *Device) pick() *Command {
 	}
 	d.eligScratch = elig // keep the grown backing array for the next pick
 	if len(elig) == 0 {
+		d.noPick = true
 		return nil
 	}
 	i := elig[d.rng.Intn(len(elig))]
@@ -731,6 +743,7 @@ func (d *Device) Crash() {
 	d.inflight = nil
 	d.order = make(map[uint64]*streamOrder)
 	d.order0 = &streamOrder{}
+	d.noPick = false
 	d.arr.Fail()
 	// Wake every parked process so it can observe death and stand down.
 	d.pickCond.Broadcast()

@@ -113,10 +113,38 @@ type pageState struct {
 	data       any
 }
 
+// blockState is one erase block. pages stays nil until the block's first
+// program: most blocks of a large array are never written in a run, and
+// allocating every page up front dominated array set-up time and memory.
 type blockState struct {
 	next   int // next programmable page index
 	erases int
-	pages  []pageState
+	pages  []pageState // nil: no page programmed since the array was built
+}
+
+// page returns page i's state; an unallocated block reads as unprogrammed.
+func (b *blockState) page(i int) pageState {
+	if b.pages == nil {
+		return pageState{}
+	}
+	return b.pages[i]
+}
+
+// program stores a completed program of page i, allocating the block's
+// page array on its first program.
+func (b *blockState) program(i, pagesPerBlock int, meta PageMeta, data any) {
+	if b.pages == nil {
+		b.pages = make([]pageState, pagesPerBlock)
+	}
+	b.pages[i] = pageState{programmed: true, meta: meta, data: data}
+	b.next++
+}
+
+// erase resets the block to unprogrammed, keeping its page array for reuse.
+func (b *blockState) erase() {
+	b.next = 0
+	b.erases++
+	clear(b.pages)
 }
 
 // chip phases of the handler state machine. Each phase boundary is one
@@ -193,9 +221,6 @@ func New(k *sim.Kernel, geo Geometry, timing Timing) *Array {
 	for id := 0; id < geo.Chips(); id++ {
 		c := &chip{id: id, ch: id % geo.Channels, q: sim.NewQueue[*Request](k)}
 		c.blocks = make([]blockState, geo.BlocksPerChip)
-		for b := range c.blocks {
-			c.blocks[b].pages = make([]pageState, geo.PagesPerBlock)
-		}
 		a.chips = append(a.chips, c)
 		if k.CallbackMode() {
 			c.proc = k.SpawnHandlerIdx("nand/chip", id, func(h *sim.Proc) { a.chipStep(h, c) })
@@ -311,8 +336,7 @@ func (a *Array) doProgram(p *sim.Proc, c *chip, r *Request) {
 		a.stats.LostJobs++
 		return
 	}
-	blk.pages[r.Page] = pageState{programmed: true, meta: r.Meta, data: r.Data}
-	blk.next++
+	blk.program(r.Page, a.geo.PagesPerBlock, r.Meta, r.Data)
 	a.stats.Programs++
 	if r.Done != nil {
 		r.Done(p.Now(), r)
@@ -332,7 +356,7 @@ func (a *Array) doRead(p *sim.Proc, c *chip, r *Request) {
 		return
 	}
 	if r.Err == nil {
-		ps := c.blocks[r.Block].pages[r.Page]
+		ps := c.blocks[r.Block].page(r.Page)
 		r.Meta, r.Data = ps.meta, ps.data
 	}
 	a.stats.Reads++
@@ -347,12 +371,7 @@ func (a *Array) doErase(p *sim.Proc, c *chip, r *Request) {
 		a.stats.LostJobs++
 		return
 	}
-	blk := &c.blocks[r.Block]
-	blk.next = 0
-	blk.erases++
-	for i := range blk.pages {
-		blk.pages[i] = pageState{}
-	}
+	c.blocks[r.Block].erase()
 	a.stats.Erases++
 	if r.Done != nil {
 		r.Done(p.Now(), r)
@@ -438,8 +457,7 @@ func (a *Array) chipStep(h *sim.Proc, c *chip) {
 				continue
 			}
 			blk := &c.blocks[r.Block]
-			blk.pages[r.Page] = pageState{programmed: true, meta: r.Meta, data: r.Data}
-			blk.next++
+			blk.program(r.Page, a.geo.PagesPerBlock, r.Meta, r.Data)
 			a.stats.Programs++
 			if r.Done != nil {
 				r.Done(h.Now(), r)
@@ -466,7 +484,7 @@ func (a *Array) chipStep(h *sim.Proc, c *chip) {
 				continue
 			}
 			if r.Err == nil {
-				ps := c.blocks[r.Block].pages[r.Page]
+				ps := c.blocks[r.Block].page(r.Page)
 				r.Meta, r.Data = ps.meta, ps.data
 			}
 			a.stats.Reads++
@@ -482,12 +500,7 @@ func (a *Array) chipStep(h *sim.Proc, c *chip) {
 				a.stats.LostJobs++
 				continue
 			}
-			blk := &c.blocks[r.Block]
-			blk.next = 0
-			blk.erases++
-			for i := range blk.pages {
-				blk.pages[i] = pageState{}
-			}
+			c.blocks[r.Block].erase()
 			a.stats.Erases++
 			if r.Done != nil {
 				r.Done(h.Now(), r)
@@ -527,7 +540,7 @@ func (a *Array) Failed() bool { return a.failed }
 // PageInfo returns the durable state of a page for recovery scans and
 // verification: whether it is programmed, and if so its metadata and data.
 func (a *Array) PageInfo(chipID, block, page int) (programmed bool, meta PageMeta, data any) {
-	ps := a.chips[chipID].blocks[block].pages[page]
+	ps := a.chips[chipID].blocks[block].page(page)
 	return ps.programmed, ps.meta, ps.data
 }
 

@@ -281,3 +281,80 @@ func TestOpKindString(t *testing.T) {
 		t.Error("OpKind strings wrong")
 	}
 }
+
+func TestUnprogrammedBlockReadsZero(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	a := New(k, testGeo(), testTiming())
+	var got *Request
+	k.Spawn("host", func(p *sim.Proc) {
+		c := sim.NewCond(k)
+		// Program a neighbour so the array is not entirely untouched.
+		a.Submit(&Request{Kind: OpProgram, Chip: 0, Block: 0, Page: 0,
+			Meta: PageMeta{LPA: 9, Seq: 1}, Data: "x",
+			Done: func(at sim.Time, r *Request) { c.Signal() }})
+		c.Wait(p)
+		a.Submit(&Request{Kind: OpRead, Chip: 0, Block: 1, Page: 5,
+			Meta: PageMeta{LPA: 77, Seq: 77}, Data: "stale",
+			Done: func(at sim.Time, r *Request) { got = r; c.Signal() }})
+		c.Wait(p)
+	})
+	k.Run()
+	if got == nil || got.Err != nil || got.Meta != (PageMeta{}) || got.Data != nil {
+		t.Fatalf("read of a never-programmed block = %+v, want zero meta and data, no error", got)
+	}
+	for _, at := range [][3]int{{0, 1, 5}, {0, 0, 1}, {3, 7, 15}} {
+		if ok, meta, data := a.PageInfo(at[0], at[1], at[2]); ok || meta != (PageMeta{}) || data != nil {
+			t.Errorf("PageInfo%v = (%v, %+v, %v), want zero", at, ok, meta, data)
+		}
+	}
+	if a.NextPage(3, 7) != 0 || a.BlockErases(3, 7) != 0 {
+		t.Errorf("untouched block: next %d erases %d, want 0 0", a.NextPage(3, 7), a.BlockErases(3, 7))
+	}
+}
+
+func TestEraseAndRestoreUntouchedBlocks(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	a := New(k, testGeo(), testTiming())
+	k.Spawn("host", func(p *sim.Proc) {
+		c := sim.NewCond(k)
+		a.Submit(&Request{Kind: OpErase, Chip: 2, Block: 4,
+			Done: func(at sim.Time, r *Request) { c.Signal() }})
+		c.Wait(p)
+		if a.NextPage(2, 4) != 0 || a.BlockErases(2, 4) != 1 {
+			t.Errorf("erased untouched block: next %d erases %d, want 0 1", a.NextPage(2, 4), a.BlockErases(2, 4))
+		}
+		for pg := 0; pg < 2; pg++ {
+			a.Submit(&Request{Kind: OpProgram, Chip: 1, Block: 0, Page: pg,
+				Done: func(at sim.Time, r *Request) { c.Signal() }})
+			c.Wait(p)
+		}
+		a.Fail()
+		a.Restore()
+		for chipID := 0; chipID < testGeo().Chips(); chipID++ {
+			for b := 0; b < testGeo().BlocksPerChip; b++ {
+				want := 0
+				if chipID == 1 && b == 0 {
+					want = 2
+				}
+				if got := a.NextPage(chipID, b); got != want {
+					t.Errorf("NextPage(%d, %d) after restore = %d, want %d", chipID, b, got, want)
+				}
+			}
+		}
+		// The erased, never-programmed block still programs from page 0.
+		a.Submit(&Request{Kind: OpProgram, Chip: 2, Block: 4, Page: 0,
+			Done: func(at sim.Time, r *Request) {
+				if r.Err != nil {
+					t.Errorf("program after erase: %v", r.Err)
+				}
+				c.Signal()
+			}})
+		c.Wait(p)
+	})
+	k.Run()
+	if ok, _, _ := a.PageInfo(2, 4, 0); !ok {
+		t.Error("page 0 of the erased block not programmed")
+	}
+}
