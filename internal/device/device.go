@@ -257,9 +257,9 @@ func (d *Device) Submit(c *Command) bool {
 	if d.k.Spans() != nil {
 		d.k.SpanBegin("device", cmdSpanName(c), c.seq)
 	}
-	// At most len(queued) workers can pick something; waking the rest of
-	// the idle worker pool would be a futile dispatch each.
-	d.pickCond.SignalN(len(d.queued))
+	// Only as many workers as there are eligible commands can pick one;
+	// waking the rest of the idle pool would be a futile dispatch each.
+	d.pickCond.SignalN(d.eligibleN())
 	return true
 }
 
@@ -366,6 +366,22 @@ func (d *Device) pick() *Command {
 	d.queued = append(d.queued[:i], d.queued[i+1:]...)
 	d.inflight = append(d.inflight, c)
 	return c
+}
+
+// eligibleN counts the queued commands a worker could pick now: how many
+// workers are worth waking. It shares pick's empty memo.
+func (d *Device) eligibleN() int {
+	if d.noPick {
+		return 0
+	}
+	n := 0
+	for _, c := range d.queued {
+		if d.eligible(c) {
+			n++
+		}
+	}
+	d.noPick = n == 0
+	return n
 }
 
 func (d *Device) worker(p *sim.Proc) {
@@ -589,7 +605,7 @@ func (d *Device) complete(p *sim.Proc, c *Command) {
 	}
 	c.Trace.StampChain(reqtrace.StageDevDone, p.Now())
 	d.spaceCond.Broadcast()
-	d.pickCond.SignalN(len(d.queued))
+	d.pickCond.SignalN(d.eligibleN())
 	if c.Done != nil {
 		c.Done(p.Now(), c)
 	}

@@ -45,13 +45,13 @@ func goldenCases() []goldenCase {
 			cfg.Duration, cfg.Warmup, cfg.FilePages = short, short/4, 256
 			workload.RandWrite(k, s, cfg)
 		}},
-		{"fig9/barrier-BFS-OD", digest{9712, 0xd43dfef263629d33}, func(k *sim.Kernel) {
+		{"fig9/barrier-BFS-OD", digest{7618, 0xf7b958cb3d3406db}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.BFSOD(device.UFS()))
 			cfg := workload.DefaultRandWrite(workload.PolicyB)
 			cfg.Duration, cfg.Warmup, cfg.FilePages = short, short/4, 256
 			workload.RandWrite(k, s, cfg)
 		}},
-		{"fig14/sqlite-BFS-DR", digest{5013, 0x181a86e671bbf059}, func(k *sim.Kernel) {
+		{"fig14/sqlite-BFS-DR", digest{4404, 0xa6956d3621564692}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.BFSDR(device.UFS()))
 			sqlmini.Bench(k, s, sqlmini.DefaultConfig(sqlmini.Persist, sqlmini.Durable), short)
 		}},
@@ -61,14 +61,14 @@ func goldenCases() []goldenCase {
 			cfg.Clients = 2
 			oltp.Bench(k, s, cfg, short)
 		}},
-		{"blkmq/EXT4-MQ-varmail", digest{3323, 0x4b52a37180d31f02}, func(k *sim.Kernel) {
+		{"blkmq/EXT4-MQ-varmail", digest{3299, 0x71a67d50aa3a6813}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.EXT4MQ(device.NVMeSSD()))
 			cfg := workload.DefaultVarmail()
 			cfg.Threads, cfg.Files = 4, 16
 			cfg.Duration, cfg.Warmup = short, short/4
 			workload.Varmail(k, s, cfg)
 		}},
-		{"kvwal/BFS-MQ-groupcommit", digest{271839, 0x9fbf609993244621}, func(k *sim.Kernel) {
+		{"kvwal/BFS-MQ-groupcommit", digest{168934, 0xd6350a3c836345b3}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.BFSMQ(device.NVMeSSD()))
 			kvwal.Bench(k, s, kvwal.DefaultBenchConfig(4), short)
 		}},
