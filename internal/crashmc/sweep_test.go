@@ -171,3 +171,17 @@ func TestSweepAllOkRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestDurabilityBarrierFSOnUFSPendingAppend pins the device durability fix
+// for writeback entries whose FTL append is still pending: the reaper
+// retired such an entry as durable (its append index read 0), a flush
+// returned before the page reached NAND, and a crash lost the fsync-acked
+// page. BFS-DR on UFS hits it densely around 200 ms, where 68 of these 101
+// instants (4 µs apart) lost an acknowledged write.
+func TestDurabilityBarrierFSOnUFSPendingAppend(t *testing.T) {
+	var us []int
+	for u := 199700; u <= 200100; u += 4 {
+		us = append(us, u)
+	}
+	sweepClean(t, core.BFSDR(device.UFS()), DurabilityScenario, us...)
+}

@@ -35,7 +35,7 @@ type cacheEntry struct {
 	epoch   uint64 // write epoch within the stream
 	urgent  bool   // FUA: write back immediately
 	started bool   // handed to the FTL appender
-	idx     uint64 // FTL append index, valid once started
+	idx     uint64 // FTL append index once the append returns; MaxUint64 while it is pending
 	durable bool
 }
 
@@ -677,6 +677,7 @@ func (d *Device) writebackLoop(p *sim.Proc) {
 			continue
 		}
 		e.started = true
+		e.idx = ^uint64(0) // unknown until Append returns: never reaped before
 		d.dirtyN--
 		if e.urgent {
 			d.urgentN--

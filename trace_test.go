@@ -39,19 +39,19 @@ type goldenCase struct {
 func goldenCases() []goldenCase {
 	short := 8 * sim.Millisecond
 	return []goldenCase{
-		{"fig1/buffered-EXT4-OD", digest{4485, 0x5f02338a95ef3ed0}, func(k *sim.Kernel) {
+		{"fig1/buffered-EXT4-OD", digest{4486, 0x0d44cb452f59ba1f}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.EXT4OD(device.Fig1Device(0)))
 			cfg := workload.DefaultRandWrite(workload.PolicyP)
 			cfg.Duration, cfg.Warmup, cfg.FilePages = short, short/4, 256
 			workload.RandWrite(k, s, cfg)
 		}},
-		{"fig9/barrier-BFS-OD", digest{7618, 0xf7b958cb3d3406db}, func(k *sim.Kernel) {
+		{"fig9/barrier-BFS-OD", digest{7617, 0x0ebf9e17f2688f3b}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.BFSOD(device.UFS()))
 			cfg := workload.DefaultRandWrite(workload.PolicyB)
 			cfg.Duration, cfg.Warmup, cfg.FilePages = short, short/4, 256
 			workload.RandWrite(k, s, cfg)
 		}},
-		{"fig14/sqlite-BFS-DR", digest{4404, 0xa6956d3621564692}, func(k *sim.Kernel) {
+		{"fig14/sqlite-BFS-DR", digest{4405, 0x95bb4dc5194d2434}, func(k *sim.Kernel) {
 			s := core.NewStack(k, core.BFSDR(device.UFS()))
 			sqlmini.Bench(k, s, sqlmini.DefaultConfig(sqlmini.Persist, sqlmini.Durable), short)
 		}},
@@ -95,7 +95,7 @@ func goldenCases() []goldenCase {
 		// GC + OptFS delayed-flush coverage: a deliberately tiny, fast array
 		// so the log wraps within the run and the GC/erase machinery and the
 		// delayed-durability timer both fire.
-		{"gc/OptFS-tinydev", digest{33618, 0x90e867be4a69370d}, func(k *sim.Kernel) {
+		{"gc/OptFS-tinydev", digest{33636, 0x59c1b16080cc1430}, func(k *sim.Kernel) {
 			cfg := device.Config{
 				Name: "tiny", QueueDepth: 8, CachePages: 64,
 				BarrierSupport: true,
