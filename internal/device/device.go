@@ -677,7 +677,7 @@ func (d *Device) writebackLoop(p *sim.Proc) {
 			continue
 		}
 		e.started = true
-		e.idx = ^uint64(0) // unknown until Append returns: never reaped before
+		e.idx = ^uint64(0) // unknown until Append returns; the reaper skips it
 		d.dirtyN--
 		if e.urgent {
 			d.urgentN--

@@ -315,7 +315,7 @@ func (d *Device) writebackStep(h *sim.Proc) {
 				continue
 			}
 			e.started = true
-			e.idx = ^uint64(0) // unknown until the append completes: never reaped before
+			e.idx = ^uint64(0) // unknown until the append completes; the reaper skips it
 			d.dirtyN--
 			if e.urgent {
 				d.urgentN--
